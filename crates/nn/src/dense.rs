@@ -322,6 +322,43 @@ mod tests {
         }
     }
 
+    /// `σ(x·Wᵀ + b)` as a strict-order scalar triple loop: each output is
+    /// `0 + x₀w₀ + x₁w₁ + …` in ascending `k`, then the bias, then σ.
+    fn reference_forward(layer: &Dense, x: &Matrix) -> Matrix {
+        let (w, b) = (layer.weight(), layer.bias().row(0));
+        let pre = Matrix::from_fn(x.rows(), w.rows(), |i, j| {
+            let mut acc = 0.0f32;
+            for k in 0..x.cols() {
+                acc += x.row(i)[k] * w.row(j)[k];
+            }
+            acc + b[j]
+        });
+        layer.activation().apply_matrix(&pre)
+    }
+
+    #[test]
+    fn every_forward_form_matches_strict_order_reference() {
+        let mut rng = OrcoRng::from_label("dense-reference", 0);
+        for (rows, inp, out) in [(1, 7, 4), (8, 128, 784), (64, 784, 128)] {
+            let mut layer = Dense::new(inp, out, Activation::Sigmoid, &mut rng);
+            // Non-zero bias and a sprinkling of exact zeros in the input.
+            let bias = Matrix::from_fn(1, out, |_, j| (j as f32 * 0.37).cos() * 0.1);
+            layer.set_parts(layer.weight().clone(), bias);
+            let x = Matrix::from_fn(rows, inp, |r, c| {
+                if (r + c) % 5 == 0 {
+                    0.0
+                } else {
+                    ((r * 31 + c) as f32 * 0.011).sin()
+                }
+            });
+            let reference = reference_forward(&layer, &x);
+            assert_eq!(layer.forward(&x, false), reference, "forward at {rows}x{inp}->{out}");
+            let (mut wt, mut got) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            layer.forward_into(x.as_view(), &mut wt, &mut got);
+            assert_eq!(got, reference, "forward_into at {rows}x{inp}->{out}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "input features")]
     fn forward_rejects_wrong_width() {
