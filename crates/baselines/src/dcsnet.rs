@@ -49,9 +49,6 @@ pub struct Dcsnet {
     encoder_opt: Optimizer,
     decoder_opt: Optimizer,
     input_dim: usize,
-    /// Reusable transposed-weight workspace for the batched encode path
-    /// (not a parameter).
-    wt_scratch: Matrix,
 }
 
 impl Dcsnet {
@@ -122,7 +119,6 @@ impl Dcsnet {
             encoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             decoder_opt: Optimizer::adam(1e-3).with_grad_clip(10.0),
             input_dim,
-            wt_scratch: Matrix::zeros(0, 0),
         }
     }
 
@@ -215,20 +211,22 @@ impl Codec for Dcsnet {
     // orco-lint: region(no-alloc)
     fn encode_batch(&mut self, frames: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_frames(Codec::name(self), frames)?;
-        self.encoder.forward_into(frames, &mut self.wt_scratch, out);
+        self.encoder.infer_into(frames, out);
         Ok(())
     }
     // orco-lint: endregion
 
-    /// One batch forward of the 4-conv-layer decoder stack instead of a
-    /// per-frame loop; the forward pass allocates its result regardless,
-    /// so it is moved into `out` rather than copied.
+    /// One [`Sequential::infer_into`] of the 4-conv-layer decoder stack
+    /// over the borrowed codes instead of a per-frame loop. The conv and
+    /// crop layers run the default [`orco_nn::Layer::infer_into`] (their
+    /// training forward), so this path still allocates inside them.
+    // orco-lint: region(no-alloc)
     fn decode_batch(&mut self, codes: MatView<'_>, out: &mut Matrix) -> Result<(), OrcoError> {
         Codec::frame_dims(self).check_codes(Codec::name(self), codes)?;
-        let y = codes.to_matrix();
-        *out = self.decoder.forward(&y, false);
+        self.decoder.infer_into(codes, out);
         Ok(())
     }
+    // orco-lint: endregion
 
     fn loss(&self) -> Loss {
         Dcsnet::loss()

@@ -2,7 +2,7 @@
 //! nothing may allocate.
 //!
 //! The marked regions are the serving hot paths — shard flush and the
-//! batch-encode kernels — whose throughput numbers assume buffers are
+//! batch encode/decode kernels — whose throughput numbers assume buffers are
 //! reused, not reallocated per call. Inside a `no-alloc` region this
 //! rule forbids the common allocating constructs:
 //!
@@ -13,7 +13,7 @@
 //! * `format!` / `vec!`.
 //!
 //! The fix is almost always "take an `&mut` scratch buffer from the
-//! caller" — the pattern `encode_batch_into`/`forward_into` already use.
+//! caller" — the pattern `encode_batch_into`/`infer_into` already use.
 //! The `require-region` config key pins the markers to the named files
 //! so deleting them is itself a violation.
 

@@ -13,6 +13,14 @@ use crate::layer::{Layer, Param};
 /// unit `j` — which is also the layout the OrcoDCS encoder distribution
 /// (§III-C of the paper) slices into per-device columns.
 ///
+/// Both [`Layer::forward`] and [`Layer::infer_into`] compute `x·Wᵀ` as
+/// `x.matmul_into(Wᵀ)`, the blocked axpy GEMM, against a transposed copy
+/// of the weight that the layer builds lazily and keeps. Every weight
+/// write clears that copy: [`Layer::params`] (the optimiser step,
+/// gradient checks, snapshot restores) and [`Dense::set_parts`]. The next
+/// forward rebuilds it, so it costs one transpose per weight write, not
+/// one per call.
+///
 /// # Examples
 ///
 /// ```
@@ -32,6 +40,7 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
+    weight_t: Option<Matrix>, // (in, out), cleared by every weight write
     cached_input: Option<Matrix>,
     cached_pre: Option<Matrix>,
 }
@@ -78,6 +87,7 @@ impl Dense {
             grad_weight: Matrix::zeros(output_dim, input_dim),
             grad_bias: Matrix::zeros(1, output_dim),
             activation,
+            weight_t: None,
             cached_input: None,
             cached_pre: None,
         }
@@ -102,6 +112,7 @@ impl Dense {
             weight,
             bias,
             activation,
+            weight_t: None,
             cached_input: None,
             cached_pre: None,
         }
@@ -125,42 +136,6 @@ impl Dense {
         self.activation
     }
 
-    /// Inference-mode forward over a borrowed batch into a caller-owned
-    /// buffer: `out = σ(x·Wᵀ + b)` as one blocked GEMM, a bias broadcast,
-    /// and an in-place activation.
-    ///
-    /// Unlike [`Layer::forward`] this caches nothing for backprop and
-    /// allocates nothing once the two caller-owned buffers have grown to
-    /// size: `wt_scratch` holds the transposed weight (materialized per
-    /// call so the row-streaming [`Matrix::matmul`] kernel — much faster
-    /// than per-row dot products on large batches — can be used) and
-    /// `out` receives the result. Bit-identical to `forward(x, false)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from the layer's input dimension.
-    // orco-lint: region(no-alloc)
-    pub fn forward_into(&self, x: MatView<'_>, wt_scratch: &mut Matrix, out: &mut Matrix) {
-        assert_eq!(
-            x.cols(),
-            self.weight.cols(),
-            "Dense::forward_into: input features {} != layer input_dim {}",
-            x.cols(),
-            self.weight.cols()
-        );
-        self.weight.transpose_into(wt_scratch);
-        out.reset(x.rows(), self.weight.rows());
-        x.matmul_into(wt_scratch.as_view(), out.as_view_mut());
-        let bias = self.bias.row(0);
-        for r in 0..out.rows() {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        self.activation.apply_inplace(out);
-    }
-    // orco-lint: endregion
-
     /// Overwrites weights and bias (e.g. when applying a model update
     /// received over the network).
     ///
@@ -172,25 +147,65 @@ impl Dense {
         assert_eq!(bias.shape(), self.bias.shape(), "Dense::set_parts: bias shape mismatch");
         self.weight = weight;
         self.bias = bias;
+        self.weight_t = None;
+    }
+
+    fn assert_input_width(&self, cols: usize, method: &str) {
+        assert_eq!(
+            cols,
+            self.weight.cols(),
+            "Dense::{method}: input features {cols} != layer input_dim {}",
+            self.weight.cols()
+        );
     }
 }
 
+/// The cached `Wᵀ`, rebuilt from `weight` if a weight write cleared it:
+/// the inference path's one allocation, made once per write.
+fn transposed<'a>(cache: &'a mut Option<Matrix>, weight: &Matrix) -> &'a Matrix {
+    cache.get_or_insert_with(|| weight.transpose())
+}
+
+/// `out = x·Wᵀ + b` given `wt = Wᵀ`: one blocked axpy GEMM, then the bias
+/// broadcast. `out` is reshaped and fully overwritten.
+// orco-lint: region(no-alloc)
+fn affine_into(x: MatView<'_>, wt: &Matrix, bias: &Matrix, out: &mut Matrix) {
+    out.reset(x.rows(), wt.cols());
+    x.matmul_into(wt.as_view(), out.as_view_mut());
+    let bias = bias.row(0);
+    for r in 0..out.rows() {
+        for (v, &b) in out.row_mut(r).iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+// orco-lint: endregion
+
 impl Layer for Dense {
     fn forward(&mut self, input: &Matrix, _train: bool) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.weight.cols(),
-            "Dense::forward: input features {} != layer input_dim {}",
-            input.cols(),
-            self.weight.cols()
-        );
+        self.assert_input_width(input.cols(), "forward");
         // pre = x · Wᵀ + b  → (batch, out)
-        let pre = input.matmul_t(&self.weight).add_row_broadcast(self.bias.row(0));
+        let mut pre = Matrix::zeros(0, 0);
+        let wt = transposed(&mut self.weight_t, &self.weight);
+        affine_into(input.as_view(), wt, &self.bias, &mut pre);
         let out = self.activation.apply_matrix(&pre);
         self.cached_input = Some(input.clone());
         self.cached_pre = Some(pre);
         out
     }
+
+    /// `out = σ(x·Wᵀ + b)`: the GEMM and bias of [`Layer::forward`], then
+    /// the activation in place. Caches nothing for backward and, once the
+    /// cached `Wᵀ` is built and `out` has grown to size, allocates
+    /// nothing.
+    // orco-lint: region(no-alloc)
+    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
+        self.assert_input_width(x.cols(), "infer_into");
+        let wt = transposed(&mut self.weight_t, &self.weight);
+        affine_into(x, wt, &self.bias, out);
+        self.activation.apply_inplace(out);
+    }
+    // orco-lint: endregion
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
@@ -213,6 +228,8 @@ impl Layer for Dense {
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
+        // The caller may write through these views: drop the stale `Wᵀ`.
+        self.weight_t = None;
         vec![
             Param { value: &mut self.weight, grad: &mut self.grad_weight },
             Param { value: &mut self.bias, grad: &mut self.grad_bias },
@@ -304,19 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_bit_identical_to_forward() {
+    fn infer_into_bit_identical_to_forward() {
         let mut rng = OrcoRng::from_label("dense-into", 0);
         for activation in [Activation::Sigmoid, Activation::Relu, Activation::Identity] {
             let mut layer = Dense::new(7, 4, activation, &mut rng);
             let x = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c) as f32 * 0.13).sin());
             let reference = layer.forward(&x, false);
-            let mut wt = Matrix::zeros(0, 0);
             let mut out = Matrix::filled(1, 1, f32::NAN); // dirty reused buffer
-            layer.forward_into(x.as_view(), &mut wt, &mut out);
+            layer.infer_into(x.as_view(), &mut out);
             assert_eq!(out, reference, "{activation:?} batched forward diverged");
             // Per-row views must reproduce the batch rows exactly.
             for r in 0..x.rows() {
-                layer.forward_into(MatView::from_row(x.row(r)), &mut wt, &mut out);
+                layer.infer_into(MatView::from_row(x.row(r)), &mut out);
                 assert_eq!(out.row(0), reference.row(r));
             }
         }
@@ -353,9 +369,9 @@ mod tests {
             });
             let reference = reference_forward(&layer, &x);
             assert_eq!(layer.forward(&x, false), reference, "forward at {rows}x{inp}->{out}");
-            let (mut wt, mut got) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-            layer.forward_into(x.as_view(), &mut wt, &mut got);
-            assert_eq!(got, reference, "forward_into at {rows}x{inp}->{out}");
+            let mut got = Matrix::zeros(0, 0);
+            layer.infer_into(x.as_view(), &mut got);
+            assert_eq!(got, reference, "infer_into at {rows}x{inp}->{out}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! The [`Layer`] abstraction shared by every trainable component.
 
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 /// A mutable view over one parameter tensor and its accumulated gradient.
 ///
@@ -23,6 +23,9 @@ pub struct Param<'a> {
 ///   row) and caches whatever the backward pass needs. `train` distinguishes
 ///   training from inference (e.g. [`crate::GaussianNoise`] is inactive at
 ///   inference).
+/// * [`infer_into`](Layer::infer_into) is the serving form of
+///   `forward(x, false)`: same result bit for bit, but over a borrowed
+///   batch, into a caller-owned buffer reused across calls.
 /// * [`backward`](Layer::backward) receives `∂L/∂output`, **accumulates**
 ///   `∂L/∂params` into the layer's gradient buffers, and returns
 ///   `∂L/∂input`. It must be called after a `forward` with matching batch
@@ -38,11 +41,26 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Runs the layer on a batch, caching state for backward.
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix;
 
+    /// Inference-mode forward of a borrowed batch into `out`, which is
+    /// reshaped and fully overwritten: bit-identical to
+    /// `forward(x, false)`.
+    ///
+    /// The default copies the batch and runs [`Layer::forward`], so it
+    /// allocates and caches like it. [`crate::Dense`] overrides it with a
+    /// body that caches nothing and allocates nothing in steady state.
+    fn infer_into(&mut self, x: MatView<'_>, out: &mut Matrix) {
+        *out = self.forward(&x.to_matrix(), false);
+    }
+
     /// Backpropagates `grad_output`, accumulating parameter gradients, and
     /// returns the gradient with respect to the layer's input.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
     /// Mutable views of all parameters with their gradients (may be empty).
+    ///
+    /// Callers may write through the views, so a layer that keeps state
+    /// derived from its parameters (the cached `Wᵀ` of [`crate::Dense`])
+    /// must drop that state here.
     fn params(&mut self) -> Vec<Param<'_>>;
 
     /// Clears the accumulated gradients.

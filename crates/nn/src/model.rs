@@ -1,4 +1,4 @@
-use orco_tensor::Matrix;
+use orco_tensor::{MatView, Matrix};
 
 use crate::layer::{Layer, Param};
 use crate::loss::Loss;
@@ -29,11 +29,14 @@ use crate::optimizer::Optimizer;
 #[derive(Debug, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Ping-pong buffers for the hidden activations of
+    /// [`Sequential::infer_into`] (unused with fewer than two layers).
+    scratch: [Matrix; 2],
 }
 
 impl Clone for Sequential {
     fn clone(&self) -> Self {
-        Self { layers: self.layers.iter().map(|l| l.clone_box()).collect() }
+        Self { layers: self.layers.iter().map(|l| l.clone_box()).collect(), ..Self::default() }
     }
 }
 
@@ -41,7 +44,7 @@ impl Sequential {
     /// Creates an empty model.
     #[must_use]
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self::default()
     }
 
     /// Appends a layer (builder style).
@@ -147,6 +150,30 @@ impl Sequential {
         }
         x
     }
+
+    /// Inference-mode forward of a borrowed batch into `out` through every
+    /// layer's [`Layer::infer_into`]: bit-identical to
+    /// `forward(input, false)`. Hidden activations alternate between two
+    /// buffers the model keeps, so with allocation-free layers a call
+    /// allocates nothing once the buffers have grown to size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is empty.
+    // orco-lint: region(no-alloc)
+    pub fn infer_into(&mut self, input: MatView<'_>, out: &mut Matrix) {
+        let (last, hidden) =
+            self.layers.split_last_mut().expect("Sequential::infer_into on empty model");
+        let [current, next] = &mut self.scratch;
+        for (i, layer) in hidden.iter_mut().enumerate() {
+            let x = if i == 0 { input } else { current.as_view() };
+            layer.infer_into(x, next);
+            std::mem::swap(current, next);
+        }
+        let x = if hidden.is_empty() { input } else { current.as_view() };
+        last.infer_into(x, out);
+    }
+    // orco-lint: endregion
 
     /// Backpropagates a gradient through every layer (reverse order),
     /// accumulating parameter gradients, and returns `∂L/∂input`.

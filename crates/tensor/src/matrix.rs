@@ -20,7 +20,8 @@ use crate::error::TensorError;
 /// Constructors that take caller-supplied buffers are fallible and return
 /// [`TensorError`]. Arithmetic operations **panic** on shape mismatch: a
 /// mismatched GEMM is a logic error, and the panic message names the
-/// operation and both shapes.
+/// operation and both shapes. The [`Default`] matrix is the empty 0×0
+/// one, a placeholder for a reused `_into` output buffer.
 ///
 /// # Examples
 ///
@@ -32,7 +33,7 @@ use crate::error::TensorError;
 /// assert_eq!(eye.matmul(&x).as_slice(), x.as_slice());
 /// # Ok::<(), orco_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -483,11 +484,18 @@ impl Matrix {
         Matrix { rows: m, cols: n, data: out }
     }
 
-    /// Matrix product `self * otherᵀ` without materializing the transpose.
+    /// Matrix product `self * otherᵀ`: `other` is transposed once and the
+    /// product runs on the blocked axpy kernel of [`Matrix::matmul`], so
+    /// each output element still accumulates `0 + a₀b₀ + a₁b₁ + …` in
+    /// ascending-`k` order and results are bit-identical at any thread
+    /// count.
     ///
-    /// Row-parallel; each output element is one dot product computed in
-    /// ascending-`k` order, bit-identical at any thread count. Shares its
-    /// kernel with [`crate::MatView::matmul_t_into`].
+    /// For finite operands this equals the strict-order dot product
+    /// bit for bit. The kernel skips terms whose `self` entry is `0.0`,
+    /// so with a non-finite `other` it differs: a `0 · inf` or `0 · NaN`
+    /// term that a dot product would turn into NaN is left out instead.
+    /// Callers that reuse one `otherᵀ` across calls should cache it and
+    /// call [`crate::MatView::matmul_into`] directly.
     ///
     /// # Panics
     ///
@@ -502,10 +510,7 @@ impl Matrix {
             other.rows,
             other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        crate::view::matmul_t_kernel(&self.data, k, &other.data, n, &mut out);
-        Matrix { rows: m, cols: n, data: out }
+        self.matmul(&other.transpose())
     }
 
     /// Matrix–vector product `self * v`.
@@ -537,25 +542,30 @@ impl Matrix {
     /// Returns the transpose as a new matrix.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
         out
     }
 
     /// Writes the transpose into a caller-owned matrix (reusing its
     /// allocation) instead of allocating like [`Matrix::transpose`].
     ///
-    /// Batched encoders use this to materialize `Wᵀ` once per batch so the
-    /// blocked [`Matrix::matmul`] kernel can stream it row-wise.
+    /// Copies square tiles so that both the rows read and the rows
+    /// written stay in cache. A plain row-by-row copy writes with a
+    /// stride of `rows` floats, and at power-of-two strides (a 128-row
+    /// weight) those writes all map to a few cache sets and evict each
+    /// other.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        const TILE: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        out.reset(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            for c0 in (0..cols).step_by(TILE) {
+                for r in r0..(r0 + TILE).min(rows) {
+                    for c in c0..(c0 + TILE).min(cols) {
+                        out.data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
             }
         }
     }
@@ -964,7 +974,13 @@ mod tests {
     fn matmul_t_matches_explicit_transpose() {
         let a = sample();
         let b = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32).collect()).unwrap();
-        assert!(a.matmul_t(&b).approx_eq(&a.matmul(&b.transpose()), 1e-6));
+        let product = a.matmul_t(&b);
+        assert_eq!(product, a.matmul(&b.transpose()));
+        // Equal, bit for bit, to the strict-order dot product it replaced.
+        let dots = Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            a.row(i).iter().zip(b.row(j)).fold(0.0, |acc, (x, y)| acc + x * y)
+        });
+        assert_eq!(product, dots);
     }
 
     #[test]

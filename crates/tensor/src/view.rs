@@ -8,13 +8,12 @@
 //! zero-copy row-range.
 //!
 //! The `_into` kernels ([`MatView::matmul_into`],
-//! [`MatView::t_matmul_into`], [`MatView::matmul_t_into`],
-//! [`MatView::matvec_into`], [`MatView::t_matvec_into`],
-//! [`MatView::map_into`]) run the **same blocked, row-parallel kernels**
-//! as the allocating [`Matrix`] products — literally the same code, via a
-//! shared kernel layer — so results are bit-identical to the owning API
-//! at any thread count, while the output lands in a buffer the caller
-//! reuses across batches.
+//! [`MatView::t_matmul_into`], [`MatView::matvec_into`],
+//! [`MatView::t_matvec_into`], [`MatView::map_into`]) run the **same
+//! blocked, row-parallel kernels** as the allocating [`Matrix`]
+//! products — literally the same code, via a shared kernel layer — so
+//! results are bit-identical to the owning API at any thread count,
+//! while the output lands in a buffer the caller reuses across batches.
 //!
 //! ```
 //! use orco_tensor::{MatView, Matrix};
@@ -93,28 +92,6 @@ pub(crate) fn t_matmul_kernel(a: &[f32], m: usize, k: usize, b: &[f32], n: usize
                 }
             }
             debug_assert!(rows_here <= m);
-        }
-    });
-}
-
-/// `out[m×n] = a · bᵀ` where `a` is `m×k` and `b` is `n×k`, row-parallel.
-/// Overwrites `out` (each element is one complete dot product).
-pub(crate) fn matmul_t_kernel(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
-    crate::parallel::for_each_row_block(out, n, GEMM_MIN_ROWS_PER_THREAD, |first_row, block| {
-        for (r, o_row) in block.chunks_exact_mut(n).enumerate() {
-            let i = first_row + r;
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (av, bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
         }
     });
 }
@@ -288,34 +265,6 @@ impl<'a> MatView<'a> {
         );
         out.data.fill(0.0);
         t_matmul_kernel(self.data, self.cols, self.rows, other.data, other.cols, out.data);
-    }
-
-    /// `out = self · otherᵀ` without materializing the transpose — the
-    /// allocation-free twin of [`Matrix::matmul_t`]. `out` is fully
-    /// overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()` or `out` is not
-    /// `self.rows() × other.rows()`.
-    pub fn matmul_t_into(&self, other: MatView<'_>, out: MatViewMut<'_>) {
-        assert!(
-            self.cols == other.cols,
-            "matmul_t_into shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        assert!(
-            out.shape() == (self.rows, other.rows),
-            "matmul_t_into: out is {}x{}, need {}x{}",
-            out.rows,
-            out.cols,
-            self.rows,
-            other.rows
-        );
-        matmul_t_kernel(self.data, self.cols, other.data, other.rows, out.data);
     }
 
     /// `out = self · v`, the allocation-free twin of [`Matrix::matvec`]
@@ -538,15 +487,6 @@ mod tests {
         out.as_mut_slice().fill(-3.0);
         a.as_view().t_matmul_into(b.as_view(), out.as_view_mut());
         assert_eq!(out, a.t_matmul(&b));
-    }
-
-    #[test]
-    fn matmul_t_into_bit_identical() {
-        let a = a();
-        let b = Matrix::from_fn(6, 3, |r, c| ((r + c) as f32).sqrt());
-        let mut out = Matrix::zeros(5, 6);
-        a.as_view().matmul_t_into(b.as_view(), out.as_view_mut());
-        assert_eq!(out, a.matmul_t(&b));
     }
 
     #[test]
